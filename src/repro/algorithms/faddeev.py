@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import Axis, DependenceGraph, GraphError, NodeId, port
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 
@@ -43,7 +43,7 @@ def _rows_at_level(n: int, k: int) -> list[int]:
 def faddeev_graph(n: int) -> DependenceGraph:
     """Pipelined FPDG of the Faddeev algorithm on ``n x n`` blocks."""
     if n < 1:
-        raise ValueError(f"Faddeev needs n >= 1, got {n}")
+        raise GraphError(f"Faddeev needs n >= 1, got {n}")
     rows, cols = 2 * n, 2 * n
     dg = DependenceGraph(f"faddeev(n={n})")
     for i in range(rows):
@@ -91,7 +91,7 @@ def faddeev_graph(n: int) -> DependenceGraph:
     for i in range(n, rows):
         for j in range(n, cols):
             dg.add_output(("out", i - n, j - n), val(n - 1, i, j), pos=(n, i, j))
-    return dg
+    return dg.freeze()
 
 
 def faddeev_inputs(

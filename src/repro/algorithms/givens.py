@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import Axis, DependenceGraph, GraphError, NodeId, port
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 
@@ -34,7 +34,7 @@ def givens_graph(n: int) -> DependenceGraph:
     ``j``; ``("ri", k, i, j)`` (``rotb``) updates row ``i``'s element.
     """
     if n < 2:
-        raise ValueError(f"Givens QR needs n >= 2, got {n}")
+        raise GraphError(f"Givens QR needs n >= 2, got {n}")
     dg = DependenceGraph(f"givens(n={n})")
     for i in range(n):
         for j in range(n):
@@ -92,7 +92,7 @@ def givens_graph(n: int) -> DependenceGraph:
     for i in range(n):
         for j in range(i, n):
             dg.add_output(("R", i, j), row_val[(i, j)], pos=(n, i, j))
-    return dg
+    return dg.freeze()
 
 
 def givens_inputs(a: np.ndarray) -> dict[NodeId, Any]:

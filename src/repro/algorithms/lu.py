@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import Axis, DependenceGraph, GraphError, NodeId, port
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 
@@ -40,7 +40,7 @@ __all__ = ["lu_graph", "lu_inputs", "run_lu", "lu_group_by_columns", "lu_ggraph"
 def lu_graph(n: int) -> DependenceGraph:
     """Pipelined FPDG of LU decomposition of an ``n x n`` matrix."""
     if n < 2:
-        raise ValueError(f"LU decomposition needs n >= 2, got n={n}")
+        raise GraphError(f"LU decomposition needs n >= 2, got n={n}")
     dg = DependenceGraph(f"lu(n={n})")
     for i in range(n):
         for j in range(n):
@@ -84,7 +84,7 @@ def lu_graph(n: int) -> DependenceGraph:
                 dg.add_output(("L", i, j), ("div", j, i), pos=(n, i, j))
             else:
                 dg.add_output(("U", i, j), val(i - 1, i, j), pos=(n, i, j))
-    return dg
+    return dg.freeze()
 
 
 def lu_inputs(a: np.ndarray) -> dict[NodeId, Any]:

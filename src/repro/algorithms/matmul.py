@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import Axis, DependenceGraph, GraphError, NodeId, port
 from ..core.semiring import REAL
 from ..core.evaluate import evaluate
 
@@ -47,7 +47,7 @@ def matmul_graph(n: int, p: int | None = None, q: int | None = None) -> Dependen
     p = n if p is None else p
     q = n if q is None else q
     if min(n, p, q) < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {(n, p, q)}")
+        raise GraphError(f"matrix dimensions must be positive, got {(n, p, q)}")
     dg = DependenceGraph(f"matmul({n}x{p} @ {p}x{q})")
     for i in range(n):
         for k in range(p):
@@ -76,7 +76,7 @@ def matmul_graph(n: int, p: int | None = None, q: int | None = None) -> Dependen
     for i in range(n):
         for j in range(q):
             dg.add_output(("out", i, j), ("op", p - 1, i, j), pos=(p, i, j))
-    return dg
+    return dg.freeze()
 
 
 def matmul_inputs(a: np.ndarray, b: np.ndarray) -> dict[NodeId, Any]:

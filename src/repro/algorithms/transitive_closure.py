@@ -63,7 +63,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, PortRef, port
+from ..core.graph import Axis, DependenceGraph, GraphError, NodeId, PortRef, port
 from ..core.semiring import BOOLEAN, Semiring
 from ..core.evaluate import evaluate
 
@@ -158,7 +158,7 @@ def tc_full(n: int) -> DependenceGraph:
         for j in range(n):
             dg.add_output(("out", i, j), val(n - 1, i, j), pos=(n, i, j))
     _attach_drawing(dg, n, flipped=False)
-    return dg
+    return dg.freeze()
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +204,7 @@ def tc_pruned(n: int) -> DependenceGraph:
         for j in range(n):
             dg.add_output(("out", i, j), val(n - 1, i, j), pos=(n, i, j))
     _attach_drawing(dg, n, flipped=False)
-    return dg
+    return dg.freeze()
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +282,7 @@ def tc_pipelined(n: int) -> DependenceGraph:
         for j in range(n):
             dg.add_output(("out", i, j), val(n - 1, i, j), pos=(n, i, j))
     _attach_drawing(dg, n, flipped=False)
-    return dg
+    return dg.freeze()
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +381,7 @@ def _grid_graph(n: int, with_delay_column: bool, name: str) -> DependenceGraph:
                 )
             dg.add_output(("out", i, j), src, pos=(n, i, j))
     _attach_drawing(dg, n, flipped=True)
-    return dg
+    return dg.freeze()
 
 
 def tc_unidirectional(n: int) -> DependenceGraph:
@@ -466,7 +466,7 @@ def run_graph(
 def node_tag_census(dg: DependenceGraph) -> dict[str, int]:
     """Histogram of node tags (compute / transmit-* / superfluous / delay)."""
     census: dict[str, int] = {}
-    for nid, d in dg.g.nodes(data=True):
+    for nid, d in dg.nodes.items():
         tag = d.get("tag")
         if tag is not None:
             census[tag] = census.get(tag, 0) + 1
@@ -483,17 +483,17 @@ def _attach_drawing(dg: DependenceGraph, n: int, flipped: bool) -> None:
     regularized graph points down and/or right (uni-directional flow),
     while the pre-flip stages mix both horizontal directions.
     """
-    for nid, d in dg.g.nodes(data=True):
-        p = d.get("pos")
+    for nid in dg.nodes:
+        p = dg.pos(nid)
         if p is None or len(p) != 3:
             continue
         k, a, b = p
-        d["draw"] = (k * n + a, k + b) if flipped else (k * n + a, b)
+        dg.set_attr(nid, "draw", (k * n + a, k + b) if flipped else (k * n + a, b))
 
 
 def _check_n(n: int) -> None:
     if n < 3:
-        raise ValueError(
+        raise GraphError(
             f"transitive-closure graphs need n >= 3 (got n={n}); "
             "below that every node is superfluous"
         )

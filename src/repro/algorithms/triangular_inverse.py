@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId
+from ..core.graph import Axis, DependenceGraph, GraphError, NodeId
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 from ..core.semiring import REAL
@@ -37,7 +37,7 @@ __all__ = [
 def triangular_inverse_graph(n: int) -> DependenceGraph:
     """FPDG of the inversion of an ``n x n`` upper-triangular matrix."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise GraphError(f"need n >= 1, got {n}")
     dg = DependenceGraph(f"triangular_inverse(n={n})")
     for i in range(n):
         for j in range(i, n):
@@ -79,7 +79,7 @@ def triangular_inverse_graph(n: int) -> DependenceGraph:
     for i in range(n):
         for j in range(i, n):
             dg.add_output(("out", i, j), v(i, j), pos=(n, i, j))
-    return dg
+    return dg.freeze()
 
 
 def triangular_inverse_inputs(u: np.ndarray) -> dict[NodeId, Any]:

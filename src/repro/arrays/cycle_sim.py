@@ -237,7 +237,7 @@ def simulate(
     """
     fires = plan.fires
     topo_order = dg.topological_order()
-    node_data = dg.g.nodes  # one attribute-dict fetch per node, not many
+    node_data = dg.nodes
     values: dict[NodeId, dict[str, Any]] = {}
     violations: list[Violation] = []
     memory_refs: set[tuple] = set()

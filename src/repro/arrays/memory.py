@@ -89,7 +89,7 @@ def analyze_memory(plan: ExecutionPlan, dg: DependenceGraph) -> MemoryReport:
     port_reads: dict[Hashable, int] = {}
     reads = 0
 
-    for nid in dg.g.nodes:
+    for nid in dg.nodes:
         if nid not in fires:
             continue
         cell, t = fires[nid]

@@ -43,7 +43,7 @@ def replicate_graph(dg: DependenceGraph, k: int) -> DependenceGraph:
             return ("inst", i, nid)
 
         for nid in topo:
-            d = dg.g.nodes[nid]
+            d = dg.nodes[nid]
             kind = d["kind"]
             operands = {
                 role: PortRef(rid(src), port)
@@ -66,7 +66,7 @@ def replicate_graph(dg: DependenceGraph, k: int) -> DependenceGraph:
             else:  # OUTPUT
                 (ref,) = operands.values()
                 out.add_output(rid(nid), ref, pos=d.get("pos"), tag=d.get("tag"))
-    return out
+    return out.freeze()
 
 
 def chain_plans(plan: ExecutionPlan, k: int, delta: int) -> ExecutionPlan:
@@ -149,11 +149,11 @@ def run_chained_instances(
     k = len(input_envs)
     with stage_span(
         "chain.replicate_graph", graph=dg.name, k=k, nodes=len(dg),
-        edges=dg.g.number_of_edges(),
+        edges=dg.number_of_edges(),
     ) as sp:
         big_dg = replicate_graph(dg, k)
         sp.tag("nodes_out", len(big_dg))
-        sp.tag("edges_out", big_dg.g.number_of_edges())
+        sp.tag("edges_out", big_dg.number_of_edges())
     with stage_span(
         "chain.chain_plans", k=k, delta=delta, fires=len(plan.fires)
     ) as sp:

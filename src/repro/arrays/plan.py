@@ -124,7 +124,7 @@ def partitioned_plan(
     the paper's regime (asserted by the test suite).
     """
     gg = plan.gg
-    dg = gg.dg
+    node_data = gg.dg.nodes
     if skew_unit < 1:
         raise PlanError(f"skew_unit must be >= 1, got {skew_unit}")
     if plan.geometry == "linear":
@@ -151,7 +151,7 @@ def partitioned_plan(
             for gid, cell in zip(s.gids, s.cells):
                 offset = skew(cell)
                 for j, nid in enumerate(gg.gnodes[gid].members):
-                    for ref in dg.operands(nid).values():
+                    for ref in node_data[nid]["operands"].values():
                         prior = fires.get(ref[0])
                         if prior is not None and region_of.get(ref[0]) != s.sid:
                             earliest = max(earliest, prior[1] + 2 - offset - j)

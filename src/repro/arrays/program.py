@@ -98,7 +98,7 @@ def cell_programs(plan: ExecutionPlan, dg: DependenceGraph) -> dict[Hashable, Ce
     """Derive every cell's instruction stream from a plan."""
     streams: dict[Hashable, list[Instruction]] = {}
     for nid, (cell, t) in plan.fires.items():
-        d = dg.g.nodes[nid]
+        d = dg.nodes[nid]
         kind = d["kind"]
         opcode = d.get("opcode") or kind.value
         sources = tuple(

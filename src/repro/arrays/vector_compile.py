@@ -429,7 +429,7 @@ def compile_plan(
     t0 = time.perf_counter()
     fires = plan.fires
     topo = dg.topological_order()
-    node_data = dg.g.nodes
+    node_data = dg.nodes
     region_of = plan.region_of
     topology = plan.topology
     dtype = np.dtype(semiring.dtype)
@@ -661,38 +661,6 @@ def compile_plan(
 # --------------------------------------------------------------------------
 
 
-def _graph_digest(dg: DependenceGraph) -> str:
-    """Stable digest of the graph structure, memoized on the graph.
-
-    The cache assumes graphs are not mutated after their first vector
-    simulation (true of every pipeline in this repo — graphs are built
-    once by the frontend and then only read).
-    """
-    cached = getattr(dg, "_vector_digest", None)
-    if cached is not None:
-        return str(cached)
-    h = hashlib.sha256()
-    node_data = dg.g.nodes
-    for nid in dg.topological_order():
-        d = node_data[nid]
-        h.update(
-            repr(
-                (
-                    nid,
-                    d["kind"].name,
-                    d.get("opcode"),
-                    d.get("value"),
-                    d.get("tag"),
-                    tuple(d.get("operands", {}).items()),
-                )
-            ).encode()
-        )
-    h.update(repr((tuple(dg.inputs), tuple(dg.outputs))).encode())
-    digest = h.hexdigest()
-    dg._vector_digest = digest  # type: ignore[attr-defined]
-    return digest
-
-
 def _plan_digest(plan: ExecutionPlan) -> str:
     """Stable digest of the plan, memoized on the plan object."""
     cached = getattr(plan, "_vector_digest", None)
@@ -731,7 +699,7 @@ def plan_fingerprint(
     """
     payload = ":".join(
         (
-            _graph_digest(dg),
+            dg.digest(),
             _plan_digest(plan),
             semiring.name,
             np.dtype(semiring.dtype).str,

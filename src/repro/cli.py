@@ -1542,9 +1542,32 @@ _LEDGER_VERBS = frozenset(
 )
 
 
+#: Verbs whose ``--n``/``--m`` describe one design; an invalid design
+#: (a GraphError or ScheduleError) is reported in one line with exit 2.
+_DESIGN_VERBS = frozenset(
+    {"stages", "partition", "ggraph", "schedule", "level", "fixed", "lint",
+     "trace", "stats", "profile", "dashboard"}
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ValueError as exc:
+        from .core.graph import GraphError
+        from .core.gsets import ScheduleError
+
+        if args.command not in _DESIGN_VERBS or not isinstance(
+            exc, (GraphError, ScheduleError)
+        ):
+            raise
+        print(f"{args.command}: invalid design: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     handler = _COMMANDS[args.command]
     if args.command in _LEDGER_VERBS:
         from .obs import runlog

@@ -70,11 +70,10 @@ def find_broadcasts(dg: DependenceGraph, fanout_threshold: int = 2) -> Broadcast
     array must realise).
     """
     consumers: dict[tuple, set] = {}
-    for nid in dg.g.nodes:
-        kind = dg.kind(nid)
-        if kind is NodeKind.OUTPUT:
+    for nid, d in dg.nodes.items():
+        if d["kind"] is NodeKind.OUTPUT:
             continue
-        for _, ref in dg.g.nodes[nid]["operands"].items():
+        for ref in d["operands"].values():
             consumers.setdefault(ref, set()).add(nid)
     sources = [
         (src_port, len(nodes))
@@ -148,11 +147,13 @@ def flow_directions(
     hists: list[Counter] = []
     untagged = 0
     want = set(kinds)
-    for u, v in dg.g.edges:
-        if dg.kind(u) not in want or dg.kind(v) not in want:
+    node_data = dg.nodes
+    for u, v in dg.edges():
+        du, dv = node_data[u], node_data[v]
+        if du["kind"] not in want or dv["kind"] not in want:
             continue
-        pu = dg.g.nodes[u].get(pos_attr)
-        pv = dg.g.nodes[v].get(pos_attr)
+        pu = du.get(pos_attr)
+        pv = dv.get(pos_attr)
         if pu is None or pv is None:
             untagged += 1
             continue
@@ -209,7 +210,7 @@ def communication_patterns(
     """
     want = set(kinds)
     groups: Counter = Counter()
-    for nid in dg.g.nodes:
+    for nid in dg.nodes:
         if dg.kind(nid) not in want:
             continue
         p = dg.pos(nid)
@@ -254,11 +255,11 @@ def long_edges(
     """
     want = set(kinds)
     result = []
-    for u, v in dg.g.edges:
+    for u, v in dg.edges():
         if dg.kind(u) not in want or dg.kind(v) not in want:
             continue
-        pu = dg.g.nodes[u].get(pos_attr)
-        pv = dg.g.nodes[v].get(pos_attr)
+        pu = dg.nodes[u].get(pos_attr)
+        pv = dg.nodes[v].get(pos_attr)
         if pu is None or pv is None:
             continue
         delta = tuple(b - a for a, b in zip(pu, pv))

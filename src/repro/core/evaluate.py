@@ -73,23 +73,25 @@ def evaluate_full(
         src, sport = ref
         return values[src][sport]
 
+    node_data = dg.nodes
     for nid in dg.topological_order():
-        kind = dg.kind(nid)
+        d = node_data[nid]
+        kind = d["kind"]
         if kind is NodeKind.INPUT:
             if nid not in inputs:
                 raise GraphError(f"no value supplied for input {nid!r}")
             values[nid] = {"out": inputs[nid]}
         elif kind is NodeKind.CONST:
-            values[nid] = {"out": dg.g.nodes[nid]["value"]}
+            values[nid] = {"out": d["value"]}
         elif kind in (NodeKind.PASS, NodeKind.DELAY, NodeKind.OUTPUT):
-            (ref,) = dg.operands(nid).values()
+            (ref,) = d["operands"].values()
             values[nid] = {"out": read(ref)}
         elif kind is NodeKind.OP:
-            opcode = dg.g.nodes[nid]["opcode"]
+            opcode = d["opcode"]
             fn = OPCODE_SEMANTICS.get(opcode)
             if fn is None:
                 raise GraphError(f"no semantics registered for opcode {opcode!r}")
-            roles = {r: read(ref) for r, ref in dg.operands(nid).items()}
+            roles = {r: read(ref) for r, ref in d["operands"].items()}
             table = dict(roles)  # forwarded operands
             table["out"] = fn(semiring, **roles)
             values[nid] = table

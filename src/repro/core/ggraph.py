@@ -104,8 +104,9 @@ class GGraph:
         )
         self.node_of: dict[NodeId, GNodeId] = {}
         members: dict[GNodeId, list[NodeId]] = {}
-        for nid in dg.g.nodes:
-            kind = dg.kind(nid)
+        node_data = dg.nodes
+        for nid, d in node_data.items():
+            kind = d["kind"]
             gid = assign_fn(nid)
             if gid is None:
                 if kind.occupies_slot:
@@ -128,19 +129,16 @@ class GGraph:
             if gid is None:
                 continue
             rank = 0
-            for pred in dg.g.predecessors(nid):
+            for pred in dg.predecessors(nid):
                 if self.node_of.get(pred) == gid:
                     rank = max(rank, group_rank[pred] + 1)
             group_rank[nid] = rank
         self.gnodes: dict[GNodeId, GNode] = {}
         for gid, nids in members.items():
-            nids.sort(key=lambda x: (group_rank[x], dg.pos(x) or ()))
-            comp_time = sum(1 for x in nids if dg.kind(x).occupies_slot)
-            tags = Counter(
-                dg.g.nodes[x].get("tag") or dg.kind(x).value
-                for x in nids
-                if dg.kind(x).occupies_slot
-            )
+            nids.sort(key=lambda x: (group_rank[x], node_data[x].get("pos") or ()))
+            slot = [node_data[x] for x in nids if node_data[x]["kind"].occupies_slot]
+            comp_time = len(slot)
+            tags = Counter(d.get("tag") or d["kind"].value for d in slot)
             self.gnodes[gid] = GNode(
                 gid=gid, members=tuple(nids), comp_time=comp_time, tags=dict(tags)
             )
@@ -148,7 +146,7 @@ class GGraph:
         # Derive the G-edge structure.
         self.g = nx.DiGraph()
         self.g.add_nodes_from(self.gnodes)
-        for u, v in dg.g.edges:
+        for u, v in dg.edges():
             gu, gv = self.node_of.get(u), self.node_of.get(v)
             if gu is None or gv is None or gu == gv:
                 continue
@@ -336,7 +334,7 @@ def group_by_blocks(
             if height is None:
                 height = 1 + max(
                     dg.pos(x)[1]
-                    for x in dg.g.nodes
+                    for x in dg.nodes
                     if dg.kind(x).occupies_slot and dg.pos(x) is not None
                 )
             state["stride"] = -(-height // block_rows)

@@ -171,7 +171,7 @@ def schedule_io_profile(
     Primary inputs are operand references to INPUT nodes of the underlying
     dependence graph — exactly the words the host must deliver (Fig. 21).
     """
-    dg = plan.gg.dg
+    node_data = plan.gg.dg.nodes
     events: list[tuple[int, int]] = []
     t = 0
     total = 0
@@ -179,8 +179,8 @@ def schedule_io_profile(
         refs: set[tuple] = set()
         for gid in s.gids:
             for nid in plan.gg.gnodes[gid].members:
-                for _, ref in dg.operands(nid).items():
-                    if dg.kind(ref[0]) is NodeKind.INPUT:
+                for ref in node_data[nid]["operands"].values():
+                    if node_data[ref[0]]["kind"] is NodeKind.INPUT:
                         refs.add(ref)
         if refs:
             events.append((t, len(refs)))
@@ -198,13 +198,12 @@ def schedule_memory_traffic(plan: GSetPlan, order: Sequence[GSet]) -> int:
     Counted as distinct produced values crossing a set boundary.
     """
     set_of = plan.set_of
-    dg = plan.gg.dg
     crossing: set[tuple] = set()
-    for nid in dg.g.nodes:
+    for nid, d in plan.gg.dg.nodes.items():
         gdst = plan.gg.node_of.get(nid)
         if gdst is None:
             continue
-        for ref in dg.operands(nid).values():
+        for ref in d["operands"].values():
             gsrc = plan.gg.node_of.get(ref[0])
             if gsrc is None:
                 continue

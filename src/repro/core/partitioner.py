@@ -144,7 +144,7 @@ def partition(
     """
     with stage_span(
         "partition.group", graph=dg.name,
-        nodes=len(dg), edges=dg.g.number_of_edges(),
+        nodes=len(dg), edges=dg.number_of_edges(),
     ) as sp:
         gg = GGraph(dg, grouping)
         sp.tag("gnodes", len(gg.gnodes))
@@ -198,7 +198,7 @@ def partition_transitive_closure(
     with stage_span("frontend.tc_regular", n=n) as sp:
         dg = tc.tc_regular(n)
         sp.tag("nodes", len(dg))
-        sp.tag("edges", dg.g.number_of_edges())
+        sp.tag("edges", dg.number_of_edges())
     impl = partition(
         dg,
         group_by_columns,

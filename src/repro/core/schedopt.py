@@ -41,7 +41,7 @@ def _edge_words(plan: GSetPlan) -> tuple[dict, dict, dict]:
     gg = plan.gg
     dg = gg.dg
     flows: dict[tuple, set] = {}
-    for nid in dg.g.nodes:
+    for nid in dg.nodes:
         gdst = gg.node_of.get(nid)
         if gdst is None:
             continue

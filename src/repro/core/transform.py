@@ -66,7 +66,7 @@ def prune_superfluous(
     """
     with stage_span(
         "transform.prune_superfluous", graph=dg.name,
-        nodes_in=len(dg), edges_in=dg.g.number_of_edges(),
+        nodes_in=len(dg), edges_in=dg.number_of_edges(),
     ) as sp:
         out = dg.copy(name=f"{dg.name}/pruned")
         # Resolve replacement references in topological order so that chains
@@ -88,7 +88,7 @@ def prune_superfluous(
             replacement[nid] = ref
             doomed.append(nid)
         # Rewire all consumers of doomed nodes.
-        for nid in list(out.g.nodes):
+        for nid in list(out.nodes):
             for role, (src, sport) in list(out.operands(nid).items()):
                 if src in replacement:
                     ref = replacement[src] if sport == "out" else None
@@ -104,8 +104,8 @@ def prune_superfluous(
             out.remove_node(nid)
         sp.tag("pruned", len(doomed))
         sp.tag("nodes_out", len(out))
-        sp.tag("edges_out", out.g.number_of_edges())
-    return out
+        sp.tag("edges_out", out.number_of_edges())
+    return out.freeze()
 
 
 def pipeline_broadcasts(
@@ -135,17 +135,13 @@ def pipeline_broadcasts(
     key = order_key or default_key
     with stage_span(
         "transform.pipeline_broadcasts", graph=dg.name,
-        nodes_in=len(dg), edges_in=dg.g.number_of_edges(),
+        nodes_in=len(dg), edges_in=dg.number_of_edges(),
     ) as sp:
         out = dg.copy(name=f"{dg.name}/pipelined")
         report = find_broadcasts(out, fanout_threshold=fanout_threshold)
         chained = 0
         for (src, sport), _count in report.sources:
-            consumers: list[tuple[NodeId, str]] = []
-            for nid in list(out.g.successors(src)):
-                for role, ref in out.operands(nid).items():
-                    if ref == (src, sport):
-                        consumers.append((nid, role))
+            consumers = out.consumers(src, out_port=sport)
             # Group roles per consumer: a node reading the value on several
             # ports receives it once and fans it out internally (operands may
             # share a reference), so the chain hops nodes, not roles.
@@ -168,8 +164,8 @@ def pipeline_broadcasts(
         sp.tag("broadcasts", len(report.sources))
         sp.tag("chained", chained)
         sp.tag("nodes_out", len(out))
-        sp.tag("edges_out", out.g.number_of_edges())
-    return out
+        sp.tag("edges_out", out.number_of_edges())
+    return out.freeze()
 
 
 def insert_delay(
@@ -205,7 +201,7 @@ def insert_delay(
             prev = PortRef(did, "out")
         out.rewire(consumer, role, prev)
         sp.tag("nodes_out", len(out))
-    return out
+    return out.freeze()
 
 
 def reindex_positions(
@@ -224,10 +220,10 @@ def reindex_positions(
     ) as sp:
         out = dg.copy(name=f"{dg.name}/reindexed")
         moved = 0
-        for nid in out.g.nodes:
+        for nid in out.nodes:
             p = out.pos(nid)
             if p is not None:
                 out.set_pos(nid, fn(nid, p))
                 moved += 1
         sp.tag("repositioned", moved)
-    return out
+    return out.freeze()

@@ -58,10 +58,11 @@ def check_array_ports(target: LintTarget) -> Iterable[Diagnostic]:
                     cells=(cell,),
                 )
             )
+    node_data = dg.nodes
     unfired = [
         nid
-        for nid in dg.g.nodes
-        if dg.kind(nid).occupies_slot and nid not in ep.fires
+        for nid, d in node_data.items()
+        if d["kind"].occupies_slot and nid not in ep.fires
     ]
     if unfired:
         diags.append(
@@ -76,14 +77,14 @@ def check_array_ports(target: LintTarget) -> Iterable[Diagnostic]:
             )
         )
     region_of = ep.region_of
-    for nid in dg.g.nodes:
+    for nid, d in node_data.items():
         fire = ep.fires.get(nid)
         if fire is None:
             continue
         cell = fire[0]
-        for ref in dg.operands(nid).values():
+        for ref in d["operands"].values():
             src = ref[0]
-            if dg.kind(src) in (NodeKind.INPUT, NodeKind.CONST):
+            if node_data[src]["kind"] in (NodeKind.INPUT, NodeKind.CONST):
                 continue
             pfire = ep.fires.get(src)
             if pfire is None:
@@ -130,14 +131,15 @@ def _memory_events(
     writes: list[tuple[tuple, Hashable, int, Hashable]] = []
     seen: set[tuple] = set()
     read_ports: set[Hashable] = set()
-    for nid in dg.g.nodes:
+    node_data = dg.nodes
+    for nid, d in node_data.items():
         fire = ep.fires.get(nid)
         if fire is None:
             continue
         cell, _ = fire
-        for ref in dg.operands(nid).values():
+        for ref in d["operands"].values():
             src = ref[0]
-            if dg.kind(src) in (NodeKind.INPUT, NodeKind.CONST):
+            if node_data[src]["kind"] in (NodeKind.INPUT, NodeKind.CONST):
                 continue
             pfire = ep.fires.get(src)
             if pfire is None:
@@ -172,7 +174,7 @@ def check_memory_conflicts(target: LintTarget) -> Iterable[Diagnostic]:
     occasional collisions inherent to the Fig. 19 wiring, not a broken
     design.
     """
-    writes, _ = _memory_events(target)
+    writes, _ = target.shared("memory_events", _memory_events)
     by_slot: dict[tuple[Hashable, int], dict[Hashable, tuple]] = {}
     for ref, port, cycle, pcell in writes:
         by_slot.setdefault((port, cycle), {})[pcell] = ref
@@ -210,7 +212,7 @@ def check_memory_port_bound(target: LintTarget) -> Iterable[Diagnostic]:
     """
     ep = target.exec_plan
     assert ep is not None
-    writes, read_ports = _memory_events(target)
+    writes, read_ports = target.shared("memory_events", _memory_events)
     used = {port for _, port, _, _ in writes} | read_ports
     if len(used) <= ep.topology.memory_ports:
         return []

@@ -67,7 +67,7 @@ def _recount_measures(target: LintTarget) -> dict[str, int]:
     """
     dg, ep = target.dg, target.exec_plan
     assert dg is not None and ep is not None
-    node_data = dg.g.nodes
+    node_data = dg.nodes
     fires = ep.fires
     region_of = ep.region_of
     topology = ep.topology

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from ..core.analysis import find_broadcasts, flow_directions
 from ..core.graph import DependenceGraph, NodeKind, OP_ROLES
 from .diagnostics import Diagnostic, Severity
@@ -75,7 +73,7 @@ def _flow_pos_attr(dg: DependenceGraph) -> str:
     attach it as the ``draw`` node attribute.  Fall back to logical
     positions when no drawing exists.
     """
-    for _, d in dg.g.nodes(data=True):
+    for d in dg.nodes.values():
         if d.get("draw") is not None:
             return "draw"
     return "pos"
@@ -156,11 +154,11 @@ def check_ports(target: LintTarget) -> Iterable[Diagnostic]:
     dg = target.dg
     assert dg is not None
     diags: list[Diagnostic] = []
-    for nid, d in dg.g.nodes(data=True):
+    for nid, d in dg.nodes.items():
         kind = d["kind"]
         operands = d["operands"]
         for role, (src, src_port) in operands.items():
-            if src not in dg.g:
+            if src not in dg:
                 diags.append(
                     Diagnostic(
                         code="RL104",
@@ -234,10 +232,7 @@ def check_ports(target: LintTarget) -> Iterable[Diagnostic]:
                         nodes=(nid,),
                     )
                 )
-        if (
-            kind.occupies_slot
-            and dg.g.out_degree(nid) == 0
-        ):
+        if kind.occupies_slot and not dg.successors(nid):
             diags.append(
                 Diagnostic(
                     code="RL104",
@@ -255,9 +250,9 @@ def check_acyclic(target: LintTarget) -> Iterable[Diagnostic]:
     """RL105: cycles in the dependence graph."""
     dg = target.dg
     assert dg is not None
-    if nx.is_directed_acyclic_graph(dg.g):
+    cycle = dg.find_cycle()
+    if cycle is None:
         return []
-    cycle = nx.find_cycle(dg.g)
     return [
         Diagnostic(
             code="RL105",

@@ -66,11 +66,8 @@ OPCODE_ROLES: dict[str, frozenset[str]] = {
 def _op_nodes(target: LintTarget) -> list[Hashable]:
     """The graph's OP node ids (the firings the program must batch)."""
     assert target.dg is not None
-    node_data = target.dg.g.nodes
     return [
-        nid
-        for nid in target.dg.g.nodes
-        if node_data[nid]["kind"] is NodeKind.OP
+        nid for nid, d in target.dg.nodes.items() if d["kind"] is NodeKind.OP
     ]
 
 
@@ -221,7 +218,7 @@ def check_semiring_typing(target: LintTarget) -> Iterable[Diagnostic]:
     dg, cp = target.dg, target.compiled
     assert dg is not None and cp is not None
     diags: list[Diagnostic] = []
-    node_data = dg.g.nodes
+    node_data = dg.nodes
     for pos, step in enumerate(cp.steps):
         if step.opcode not in VECTOR_OPCODES or (
             step.opcode not in OPCODE_SEMANTICS

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..obs import runlog
 from ..obs.metrics import get_registry
@@ -100,6 +100,19 @@ class LintTarget:
     policy: "RecoveryPolicy | None" = None
     compiled: "CompiledPlan | None" = None
     semiring: "Semiring | None" = None
+    #: Facts derived from the artefacts, shared by the passes of one
+    #: :func:`run_lint` call (artefacts may be edited between calls).
+    _shared: "dict[str, Any] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def shared(self, key: str, derive: "Callable[[LintTarget], Any]") -> Any:
+        """``derive(self)``, computed once per :func:`run_lint` call."""
+        if self._shared is None:
+            return derive(self)
+        if key not in self._shared:
+            self._shared[key] = derive(self)
+        return self._shared[key]
 
     @classmethod
     def from_graph(
@@ -252,6 +265,7 @@ def run_lint(
     report = LintReport(target=target.description)
     ran: list[str] = []
     skipped: list[str] = []
+    target._shared = {}
     for lp in selected:
         if not lp.applicable(target):
             skipped.append(lp.name)
@@ -273,6 +287,7 @@ def run_lint(
                 ]
             )
         ran.append(lp.name)
+    target._shared = None
     report.passes_run = tuple(ran)
     report.passes_skipped = tuple(skipped)
     runlog.emit(

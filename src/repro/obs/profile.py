@@ -453,16 +453,18 @@ def critical_path(plan: "ExecutionPlan", dg: "DependenceGraph") -> CriticalPath:
     fires = plan.fires
     if not fires:
         return CriticalPath(steps=[], makespan=plan.makespan, slacks={})
-    node_data = dg.g.nodes
+    node_data = dg.nodes
     region_of = plan.region_of
     topology = plan.topology
+    # Every tie-break below orders nodes by repr; render each id once.
+    rep = {nid: repr(nid) for nid in fires}
 
     # Per-cell firing timeline for resource edges.
     by_cell: dict[Any, list[tuple[int, Any]]] = {}
     for nid, (cell, t) in fires.items():
         by_cell.setdefault(cell, []).append((t, nid))
     for timeline in by_cell.values():
-        timeline.sort(key=lambda p: (p[0], repr(p[1])))
+        timeline.sort(key=lambda p: (p[0], rep[p[1]]))
     cell_cycles = {c: [t for t, _ in tl] for c, tl in by_cell.items()}
 
     def candidates(nid: Any) -> list[tuple[int, str, Any, int]]:
@@ -494,7 +496,7 @@ def critical_path(plan: "ExecutionPlan", dg: "DependenceGraph") -> CriticalPath:
         return out
 
     # DP in firing order: earliest chain start reachable from each node.
-    order = sorted(fires, key=lambda nid: (fires[nid][1], repr(nid)))
+    order = sorted(fires, key=lambda nid: (fires[nid][1], rep[nid]))
     best_start: dict[Any, int] = {}
     choice: dict[Any, tuple[Any, str, int]] = {}
     slacks: dict[Any, int] = {}
@@ -507,18 +509,18 @@ def critical_path(plan: "ExecutionPlan", dg: "DependenceGraph") -> CriticalPath:
         picked = min(
             cands,
             key=lambda c: (
-                best_start[c[2]], c[0], _EDGE_RANK[c[1]], repr(c[2]),
+                best_start[c[2]], c[0], _EDGE_RANK[c[1]], rep[c[2]],
             ),
         )
         best_start[nid] = best_start[picked[2]]
         choice[nid] = (picked[2], picked[1], picked[0])
 
-    tail = max(fires, key=lambda nid: (fires[nid][1], repr(nid)))
+    tail = max(fires, key=lambda nid: (fires[nid][1], rep[nid]))
     # Deterministic tie-break on the last cycle: lexicographically
     # smallest repr among the latest-firing nodes.
     last_t = fires[tail][1]
     tail = min(
-        (nid for nid in fires if fires[nid][1] == last_t), key=repr
+        (nid for nid in fires if fires[nid][1] == last_t), key=rep.__getitem__
     )
 
     chain: list[PathStep] = []

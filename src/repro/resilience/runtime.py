@@ -387,7 +387,7 @@ def _build_attempt_graph(
     member_set = set(layout.members)
     sub = DependenceGraph(f"{dg.name}/gset{layout.sid}")
     sub_inputs: dict[NodeId, Any] = {}
-    node_data = dg.g.nodes
+    node_data = dg.nodes
 
     def resolve(src: NodeId, port: str) -> PortRef:
         if src in member_set:
@@ -442,7 +442,7 @@ def _build_attempt_graph(
                 parked_ports.append((nid, p))
                 if p != "out":
                     sub.add_output(("park", nid, p), PortRef(nid, p))
-    return sub, sub_inputs, parked_ports
+    return sub.freeze(), sub_inputs, parked_ports
 
 
 def run_resilient(
@@ -515,10 +515,10 @@ def run_resilient(
         geometry=plan.geometry, m=plan.m,
     )
     faults = list(faults)
-    topo_index = {nid: i for i, nid in enumerate(dg.topological_order())}
+    topo_index = dg.topological_index()
+    node_data = dg.nodes
     slot_nodes = frozenset(
-        nid for nid in topo_index
-        if dg.g.nodes[nid]["kind"].occupies_slot
+        nid for nid in topo_index if node_data[nid]["kind"].occupies_slot
     )
 
     geometry = plan.geometry
@@ -629,7 +629,7 @@ def run_resilient(
             earliest = clock
             for nid in layout.members:
                 offset = skew(layout.cell_of[nid]) + layout.slot_of[nid]
-                for src, _port in dg.g.nodes[nid]["operands"].values():
+                for src, _port in dg.nodes[nid]["operands"].values():
                     prior = store.fire_cycle.get(src)
                     if prior is not None:
                         earliest = max(earliest, prior + 2 - offset)
@@ -877,7 +877,7 @@ def run_resilient(
 
         outputs: dict[NodeId, Any] = {}
         for out_nid in dg.outputs:
-            ((src, port),) = dg.g.nodes[out_nid]["operands"].values()
+            ((src, port),) = dg.nodes[out_nid]["operands"].values()
             outputs[out_nid] = store.read(src, port)
         sp.tag("total_cycles", clock)
         sp.tag("retries", retries)

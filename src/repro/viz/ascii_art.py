@@ -112,7 +112,7 @@ def render_gantt(plan, dg: DependenceGraph, start: int = 0, width: int = 72) -> 
     for nid, (cell, t) in plan.fires.items():
         if not (start <= t < start + width):
             continue
-        tag = dg.g.nodes[nid].get("tag")
+        tag = dg.nodes[nid].get("tag")
         ch = symbol.get(tag, "+")
         rows.setdefault(cell, {})[t - start] = ch
     lines = [f"cycles {start}..{start + width - 1}  (# compute, + transmit, - delay)"]
@@ -137,7 +137,7 @@ def render_level_grid(dg: DependenceGraph, level: int, n: int) -> str:
         "delay": "D",
     }
     grid: dict[tuple[int, int], str] = {}
-    for nid, d in dg.g.nodes(data=True):
+    for nid, d in dg.nodes.items():
         p = d.get("pos")
         if p is None or len(p) != 3 or p[0] != level:
             continue

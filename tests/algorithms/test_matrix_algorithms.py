@@ -246,7 +246,7 @@ class TestPartitionedMatmul:
         rng = np.random.default_rng(5)
         a = rng.random((n, n)) < 0.5
         b = rng.random((n, n)) < 0.5
-        dg = matmul_graph(n)
+        dg = matmul_graph(n).copy()
         env = {}
         for i in range(n):
             for k in range(n):
@@ -257,7 +257,7 @@ class TestPartitionedMatmul:
         # Boolean semiring: zero = False (the const feeds the accumulator).
         for i in range(n):
             for j in range(n):
-                dg.g.nodes[("zero", i, j)]["value"] = False
+                dg.set_attr(("zero", i, j), "value", False)
         outs = evaluate(dg, env, BOOLEAN)
         got = np.array([[outs[("out", i, j)] for j in range(n)] for i in range(n)])
         expected = (a.astype(int) @ b.astype(int)) > 0

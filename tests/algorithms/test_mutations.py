@@ -19,7 +19,7 @@ from repro.algorithms.transitive_closure import (
 )
 from repro.algorithms.warshall import random_adjacency, warshall
 from repro.core.ggraph import GGraph, group_by_columns
-from repro.core.graph import GraphError, PortRef
+from repro.core.graph import GraphError, PortRef, port
 from repro.core.gsets import make_linear_gsets, schedule_gsets
 from repro.arrays.cycle_sim import simulate
 from repro.arrays.plan import partitioned_plan
@@ -36,16 +36,16 @@ def _some_false_instance(n: int) -> np.ndarray:
 def test_swapped_chain_operands_change_the_function() -> None:
     """Swapping the b and c chains transposes the update: caught."""
     n = 6
-    dg = tc_regular(n)
+    dg = tc_regular(n).copy()
     mutated = 0
-    for nid in list(dg.g.nodes):
+    for nid in list(dg.nodes):
         if not (isinstance(nid, tuple) and nid[0] == "cell"):
             continue
-        d = dg.g.nodes[nid]
-        if d.get("tag") != "compute":
+        if dg.node(nid).tag != "compute":
             continue
-        ops = d["operands"]
-        ops["b"], ops["c"] = ops["c"], ops["b"]
+        ops = dg.operands(nid)
+        dg.rewire(nid, "b", PortRef(*ops["c"]))
+        dg.rewire(nid, "c", PortRef(*ops["b"]))
         mutated += 1
     assert mutated > 0
     # Try a few seeds: at least one asymmetric instance must expose it.
@@ -61,7 +61,7 @@ def test_swapped_chain_operands_change_the_function() -> None:
 def test_dropped_level_changes_the_function() -> None:
     """Wiring outputs from level n-2 instead of n-1 loses closure steps."""
     n = 6
-    dg = tc_pruned(n)
+    dg = tc_pruned(n).copy()
     # Rewire every output one level earlier where possible.
     for i in range(n):
         for j in range(n):
@@ -85,8 +85,13 @@ def test_self_loop_mutation_is_structurally_rejected() -> None:
     n = 5
     dg = tc_regular(n)
     victim = ("cell", 1, 1, 1)
-    dg.g.nodes[victim]["operands"]["b"] = (victim, "c")
-    dg.g.add_edge(victim, victim)
+    with pytest.raises(GraphError, match="frozen"):
+        dg.rewire(victim, "b", port(victim, "c"))
+    dg = dg.copy()
+    with pytest.raises(GraphError, match="self-loop"):
+        dg.rewire(victim, "b", port(victim, "c"))
+    # A longer loop: level 2 reads the victim, which now reads level 2.
+    dg.rewire(victim, "b", port(("cell", 2, 0, 0), "c"))
     with pytest.raises(GraphError, match="cycle"):
         dg.topological_order()
 
@@ -103,7 +108,7 @@ def test_wrong_cell_assignment_is_caught_by_the_simulator() -> None:
     # same set*, which costs the memory round trip it never scheduled.
     victim = next(
         nid for nid, (cell, t) in ep.fires.items()
-        if cell == 1 and dg.g.nodes[nid].get("tag") == "compute"
+        if cell == 1 and dg.node(nid).tag == "compute"
     )
     _, t = ep.fires[victim]
     # Find a free slot on cell 3 at the same cycle? Force double-booking

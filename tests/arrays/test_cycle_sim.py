@@ -193,7 +193,7 @@ class TestViolationDetection:
         # Fire one node a cycle too early.
         victim = next(iter(ep.fires))
         cell, t = ep.fires[victim]
-        consumers = [nid for nid in dg.g.successors(victim) if nid in ep.fires]
+        consumers = [nid for nid in dg.successors(victim) if nid in ep.fires]
         if consumers:
             c0 = consumers[0]
             ccell, ct = ep.fires[c0]
@@ -205,9 +205,9 @@ class TestViolationDetection:
     def test_strict_mode_raises(self) -> None:
         dg, _, _, _, ep = build(6, 3)
         victim = next(
-            nid for nid in ep.fires if list(dg.g.successors(nid))
+            nid for nid in ep.fires if list(dg.successors(nid))
         )
-        cons = next(c for c in dg.g.successors(victim) if c in ep.fires)
+        cons = next(c for c in dg.successors(victim) if c in ep.fires)
         ep.fires[victim] = (ep.fires[victim][0], ep.fires[cons][1] + 9)
         with pytest.raises(GraphError, match="violation"):
             simulate(ep, dg, make_inputs(random_adjacency(6, seed=0)), strict=True)
@@ -216,9 +216,9 @@ class TestViolationDetection:
         """SimulationError exposes the Violation object, not just a string."""
         dg, _, _, _, ep = build(6, 3)
         victim = next(
-            nid for nid in ep.fires if list(dg.g.successors(nid))
+            nid for nid in ep.fires if list(dg.successors(nid))
         )
-        cons = next(c for c in dg.g.successors(victim) if c in ep.fires)
+        cons = next(c for c in dg.successors(victim) if c in ep.fires)
         ep.fires[victim] = (ep.fires[victim][0], ep.fires[cons][1] + 9)
         with pytest.raises(SimulationError) as exc:
             simulate(ep, dg, make_inputs(random_adjacency(6, seed=0)), strict=True)

@@ -114,8 +114,8 @@ def test_rewire_moves_operand() -> None:
     dg.add_pass("p", "x")
     dg.rewire("p", "a", "y")
     assert dg.operands("p") == {"a": ("y", "out")}
-    assert not dg.g.has_edge("x", "p")
-    assert dg.g.has_edge("y", "p")
+    assert "p" not in dg.successors("x")
+    assert list(dg.predecessors("p")) == ["y"]
 
 
 def test_rewire_keeps_shared_structural_edge() -> None:
@@ -125,7 +125,7 @@ def test_rewire_keeps_shared_structural_edge() -> None:
     dg.add_op("m", "mac", {"a": "x", "b": "x", "c": "y"})
     dg.rewire("m", "b", "y")
     # a still reads x, so the x->m edge must survive.
-    assert dg.g.has_edge("x", "m")
+    assert "m" in dg.successors("x")
     assert dg.operands("m")["b"] == ("y", "out")
 
 
@@ -153,7 +153,8 @@ def test_remove_node_requires_no_consumers() -> None:
 
 def test_validate_detects_missing_role_after_manual_edit() -> None:
     dg = small_graph()
-    del dg.g.nodes["m"]["operands"]["b"]
+    # Records are read-only by contract; a hand edit is what validate() guards.
+    del dg.nodes["m"]["operands"]["b"]
     with pytest.raises(GraphError, match="has ports"):
         dg.validate()
 
@@ -170,10 +171,13 @@ def test_cycle_detected() -> None:
     dg = DependenceGraph()
     dg.add_input("x")
     dg.add_pass("p", "x")
-    dg.g.add_edge("p", "p2")  # forge a bad edge to form a cycle
-    dg.g.add_edge("p2", "p")
+    dg.add_pass("p2", "p")
+    dg.rewire("p", "a", "p2")  # p -> p2 -> p
+    assert dg.find_cycle() == [("p", "p2"), ("p2", "p")]
     with pytest.raises(GraphError, match="cycle"):
         dg.topological_order()
+    with pytest.raises(GraphError, match="cycle"):
+        dg.validate()
 
 
 def test_copy_is_independent() -> None:
@@ -207,7 +211,7 @@ def test_axis_tags_recorded() -> None:
     dg = DependenceGraph()
     dg.add_input("x")
     dg.add_pass("p", "x", axis=Axis.HORIZONTAL)
-    assert dg.g.edges["x", "p"]["axis"] is Axis.HORIZONTAL
+    assert dg.edge_axis("x", "p") is Axis.HORIZONTAL
 
 
 def test_kind_properties() -> None:

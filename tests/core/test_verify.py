@@ -43,8 +43,8 @@ def test_verify_detects_sabotage() -> None:
     """Corrupting a planned firing time must be reported, not hidden."""
     impl = partition_transitive_closure(n=6, m=3)
     ep = impl.exec_plan
-    victim = next(nid for nid in ep.fires if list(impl.dg.g.successors(nid)))
-    cons = next(c for c in impl.dg.g.successors(victim) if c in ep.fires)
+    victim = next(nid for nid in ep.fires if list(impl.dg.successors(nid)))
+    cons = next(c for c in impl.dg.successors(victim) if c in ep.fires)
     ep.fires[victim] = (ep.fires[victim][0], ep.fires[cons][1] + 50)
     report = verify_implementation(impl, trials=2, seed=4)
     assert report.violation_trials == 2

@@ -83,8 +83,8 @@ def test_generic_partition_preflight() -> None:
 
 
 def test_preflight_raises_lint_error_on_broken_design() -> None:
-    dg = tc_regular(5)
-    dg.g.add_edge(("cell", 4, 2, 2), ("cell", 0, 1, 1))  # cycle
+    dg = tc_regular(5).copy()
+    dg.rewire(("cell", 0, 1, 1), "a", ("cell", 4, 2, 2))  # cycle
     with pytest.raises(LintError) as ei:
         preflight(LintTarget.from_graph(dg))
     assert "RL105" in ei.value.report.codes()

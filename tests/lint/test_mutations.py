@@ -22,6 +22,7 @@ from repro.algorithms.transitive_closure import (
     tc_unidirectional,
 )
 from repro.core.ggraph import GGraph, group_by_columns
+from repro.core.graph import GraphError
 from repro.core.partitioner import partition_transitive_closure
 from repro.lint import (
     SHIPPED_CONFIGS,
@@ -82,16 +83,25 @@ def test_rl103_clean_after_regularization() -> None:
 
 
 def test_rl104_deleted_delay_node() -> None:
+    victim = ("dly", 0, 0)
     dg = tc_regular(6)
-    dg.g.remove_node(("dly", 0, 0))  # consumers now dangle
+    with pytest.raises(GraphError, match="frozen"):
+        dg.remove_node(victim)
+    dg = dg.copy()
+    with pytest.raises(GraphError, match="still feeds"):
+        dg.remove_node(victim)
+    # The builder refuses the defect; a hand-edited record (consumers
+    # left reading a producer that no longer exists) still lints.
+    for consumer, role in dg.consumers(victim):
+        dg.nodes[consumer]["operands"][role] = (("deleted", victim), "out")
     report = lint_graph(dg)
     assert "RL104" in report.codes()
     assert any(d.severity is Severity.ERROR for d in report.by_code("RL104"))
 
 
 def test_rl105_dependence_cycle() -> None:
-    dg = tc_regular(5)
-    dg.g.add_edge(("cell", 4, 2, 2), ("cell", 0, 1, 1))  # back edge
+    dg = tc_regular(5).copy()
+    dg.rewire(("cell", 0, 1, 1), "a", ("cell", 4, 2, 2))  # back edge
     report = lint_graph(dg)
     assert "RL105" in report.codes()
     assert not report.ok
@@ -183,6 +193,30 @@ def test_rl302_memory_tap_write_collision() -> None:
     assert any(marker in d.message for d in after.by_code("RL302"))
     assert not any(marker in d.message for d in before.by_code("RL302"))
     assert all(d.severity is Severity.WARNING for d in after.by_code("RL302"))
+
+
+def test_memory_routing_derived_once_per_run(impl, monkeypatch) -> None:
+    """RL302 and RL303 share one memory-routing pass per run_lint call."""
+    from repro.lint import passes_array
+
+    calls = []
+
+    def counting(target):
+        calls.append(target)
+        return _memory_events(target)
+
+    monkeypatch.setattr(passes_array, "_memory_events", counting)
+    t = LintTarget.from_implementation(impl)
+    first = run_lint(t)
+    assert len(calls) == 1
+    # Shared only within a run: an edit between runs is seen by the next.
+    t.exec_plan.topology = dataclasses.replace(
+        t.exec_plan.topology, memory_ports=2
+    )
+    second = run_lint(t)
+    assert len(calls) == 2
+    assert "RL303" not in first.codes()
+    assert "RL303" in second.codes()
 
 
 def test_rl303_memory_connection_bound(impl) -> None:

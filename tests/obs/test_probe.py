@@ -73,8 +73,8 @@ class TestProbeProtocol:
 
     def test_violation_events(self) -> None:
         dg, _, _, ep = build(6)
-        victim = next(nid for nid in ep.fires if list(dg.g.successors(nid)))
-        cons = next(c for c in dg.g.successors(victim) if c in ep.fires)
+        victim = next(nid for nid in ep.fires if list(dg.successors(nid)))
+        cons = next(c for c in dg.successors(victim) if c in ep.fires)
         ep.fires[victim] = (ep.fires[victim][0], ep.fires[cons][1] + 9)
         probe = RecordingProbe()
         res = simulate(ep, dg, make_inputs(random_adjacency(6, seed=0)),

@@ -109,6 +109,24 @@ def test_partition_trace_out_requires_simulate() -> None:
                  "--trace-out", "x.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["partition", "--n", "2"], "n >= 3"),
+        (["partition", "--m", "0"], "at least one cell"),
+        (["partition", "--geometry", "mesh", "--m", "5"], "not a perfect square"),
+    ],
+)
+def test_invalid_design_prints_one_line_and_exits_two(capsys, argv, reason) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("partition: invalid design: ")
+    assert reason in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_faults_single_config(capsys) -> None:
     out = run_cli(capsys, "faults", "--config", "linear-n9-m3",
                   "--kinds", "transient")

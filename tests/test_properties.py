@@ -81,12 +81,12 @@ def test_ggraph_partitions_slot_nodes(n: int) -> None:
     gg = GGraph(dg, group_by_columns)
     members = [nid for gn in gg.gnodes.values() for nid in gn.members]
     assert len(members) == len(set(members))
-    slot_nodes = [x for x in dg.g.nodes if dg.kind(x).occupies_slot]
+    slot_nodes = [x for x in dg.nodes if dg.kind(x).occupies_slot]
     assert sorted(map(str, members)) == sorted(map(str, slot_nodes))
     # Edge weights account for every crossing primitive dependence.
     crossing = sum(
         1
-        for u, v in dg.g.edges
+        for u, v in dg.edges()
         if gg.node_of.get(u) is not None
         and gg.node_of.get(v) is not None
         and gg.node_of[u] != gg.node_of[v]
